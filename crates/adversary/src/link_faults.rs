@@ -3,9 +3,10 @@
 //!
 //! [`LossyLinkActor`] runs its inner actor honestly each round, then
 //! filters the outbox through a [`LinkPolicy`] (the same trait the
-//! threaded cluster injects at the transport layer, see
+//! engine backends apply at the send edge, see
 //! `meba_net::ClusterConfig::link_policy`): per-target messages may be
-//! dropped or delayed by whole rounds. This models the adversary's power
+//! dropped or delayed by whole rounds, and a sever — a connection reset,
+//! which has no meaning between actors — counts as a drop. This models the adversary's power
 //! over the *network* of one process — a process that computes correctly
 //! but whose words may not arrive — inside the lockstep simulator, where
 //! it composes with rushing and the other Byzantine wrappers.
@@ -98,7 +99,7 @@ impl<A: Actor> Actor for LossyLinkActor<A> {
                 }
                 match self.policy.fate(Link { from: me, to: target }, round) {
                     LinkFate::Deliver => ctx.send(target, msg.clone()),
-                    LinkFate::Drop => self.dropped += 1,
+                    LinkFate::Drop | LinkFate::Sever => self.dropped += 1,
                     LinkFate::DelayRounds(k) => {
                         self.delayed += 1;
                         self.pending.entry(round + k).or_default().push((target, msg.clone()));

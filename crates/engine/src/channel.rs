@@ -1,10 +1,9 @@
 //! In-memory [`Transport`]: bounded crossbeam channels as authenticated
 //! links — the engine instantiation behind `meba_net::run_cluster`.
 
-use crate::transport::{Delivery, Transport};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use meba_crypto::ProcessId;
-use meba_sim::Message;
+use meba_sim::{Delivery, Message, Transport};
 
 /// One process's endpoint of a full mesh of bounded channels. A full
 /// link blocks the sender (counted as backpressure) instead of

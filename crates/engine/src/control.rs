@@ -15,8 +15,8 @@ use crate::driver::RoundDriverConfig;
 use crate::fate::{resolve_fates, ActorRebuilder};
 use crate::pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer, Pacer};
 use crate::process::{EngineProcess, StepStatus};
-use crate::transport::{SendPolicy, Transport};
-use meba_sim::{AnyActor, Message, Metrics};
+use meba_sim::faults::LinkPolicy;
+use meba_sim::{AnyActor, Message, Metrics, Transport};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,7 +42,6 @@ struct Control {
     backpressure: AtomicU64,
     done_flags: Vec<AtomicBool>,
     escalations: Mutex<Vec<Escalation>>,
-    metrics: Mutex<Metrics>,
 }
 
 impl Control {
@@ -75,9 +74,10 @@ struct WorkerConfig {
 /// correct actor is done, the round budget is exhausted, or the overrun
 /// policy stops the run. This is the generic core behind
 /// `meba_net::run_cluster` and `meba_wire::run_tcp_cluster`: the caller
-/// supplies one [`Transport`] and one optional [`SendPolicy`] per actor
+/// supplies one [`Transport`] and one optional [`LinkPolicy`] per actor
 /// (aligned by index) and the engine does the rest — fate resolution
-/// happens exactly once, up front.
+/// happens exactly once, up front. Each worker thread records into its
+/// own [`Metrics`] shard; the shards are merged when the threads join.
 ///
 /// # Panics
 ///
@@ -87,7 +87,7 @@ struct WorkerConfig {
 pub fn run_threaded_cluster<M, T>(
     actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     transports: Vec<T>,
-    policies: Vec<Option<Box<dyn SendPolicy>>>,
+    policies: Vec<Option<Box<dyn LinkPolicy>>>,
     rebuilder: Option<ActorRebuilder<M>>,
     config: &ClusterConfig,
 ) -> ClusterReport<M>
@@ -114,7 +114,6 @@ where
         backpressure: AtomicU64::new(0),
         done_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
         escalations: Mutex::new(Vec::new()),
-        metrics: Mutex::new(Metrics::default()),
     });
     let corrupt: Arc<Vec<bool>> =
         Arc::new((0..n).map(|i| config.corrupt.iter().any(|c| c.index() == i)).collect());
@@ -142,9 +141,11 @@ where
 
     let mut actors_back: Vec<Box<dyn AnyActor<Msg = M>>> = Vec::with_capacity(n);
     let mut max_round = 0;
+    let mut metrics = Metrics::default();
     for h in handles {
-        let (actor, rounds) = h.join().expect("cluster thread panicked");
+        let (actor, rounds, shard) = h.join().expect("cluster thread panicked");
         max_round = max_round.max(rounds);
+        metrics.merge(&shard);
         actors_back.push(actor);
     }
     actors_back.sort_by_key(|a| a.id().index());
@@ -157,7 +158,6 @@ where
         // belt-and-braces check before the coordinator could decide.
         None => (false, max_round, None),
     };
-    let mut metrics = ctrl.metrics.into_inner();
     metrics.rounds = rounds.max(max_round);
     ClusterReport {
         metrics,
@@ -174,14 +174,16 @@ where
 /// One thread's life: rounds under coordinator approval, paced by the
 /// configured [`RoundDriverConfig`] — the shared [`DeadlinePacer`]
 /// schedule (lockstep) or a local quorum-or-timeout wait — with the
-/// round body delegated to [`EngineProcess::step`].
+/// round body delegated to [`EngineProcess::step`]. Returns the actor,
+/// the rounds this thread ran, and the thread's metrics shard.
 fn run_paced_process<M: Message, T: Transport<M>>(
     mut proc: EngineProcess<M>,
     mut transport: T,
     ctrl: Arc<Control>,
     corrupt: Arc<Vec<bool>>,
     cfg: WorkerConfig,
-) -> (Box<dyn AnyActor<Msg = M>>, u64) {
+) -> (Box<dyn AnyActor<Msg = M>>, u64, Metrics) {
+    let mut metrics = Metrics::default();
     let i = proc.id().index();
     let is_coordinator = i == 0;
     let quorum = cfg.driver.effective_quorum(cfg.n);
@@ -244,7 +246,7 @@ fn run_paced_process<M: Message, T: Transport<M>>(
         };
 
         let proc_start = Instant::now();
-        let status: StepStatus = proc.step(round, &mut transport, &ctrl.metrics);
+        let status: StepStatus = proc.step(round, &mut transport, &mut metrics);
         if status.executed {
             // Observability: per-round processing latency and synchrony
             // monitoring. Processing past the round's deadline means a
@@ -262,14 +264,11 @@ fn run_paced_process<M: Message, T: Transport<M>>(
                     proc_end.duration_since(proc_start) > ctrl.pacer.delta_at(round)
                 }
             };
-            {
-                let mut m = ctrl.metrics.lock();
-                m.round_latency.record_us(latency_us);
-                if round >= 1 {
-                    match quorum_ready {
-                        true => m.advance.quorum += 1,
-                        false => m.advance.timeout += 1,
-                    }
+            metrics.round_latency.record_us(latency_us);
+            if round >= 1 {
+                match quorum_ready {
+                    true => metrics.advance.quorum += 1,
+                    false => metrics.advance.timeout += 1,
                 }
             }
             if overran {
@@ -288,7 +287,8 @@ fn run_paced_process<M: Message, T: Transport<M>>(
     }
     ctrl.backpressure.fetch_add(transport.backpressure(), Ordering::Relaxed);
     transport.finish();
-    (proc.finish(&ctrl.metrics), round)
+    let actor = proc.finish(&mut metrics);
+    (actor, round, metrics)
 }
 
 /// The coordinator's end-of-round decision: stop (exactly one recorded

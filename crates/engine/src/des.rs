@@ -46,10 +46,8 @@ use crate::driver::{AdvanceCause, DriverConfigError, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder, ProcessFateFactory};
 use crate::pacer::VirtualPacer;
 use crate::process::EngineProcess;
-use crate::transport::{Delivery, LinkPolicySendAdapter, SendPolicy, Transport};
 use meba_crypto::ProcessId;
-use meba_sim::{AnyActor, Message, Metrics};
-use parking_lot::Mutex;
+use meba_sim::{AnyActor, Delivery, Message, Metrics, Transport};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -378,7 +376,7 @@ impl Schedule {
 struct Running<'a, M: Message> {
     procs: &'a mut [EngineProcess<M>],
     transports: &'a mut [DesTransport<M>],
-    metrics: &'a Mutex<Metrics>,
+    metrics: &'a mut Metrics,
     next_round: &'a mut [u64],
     done: &'a mut [bool],
     corrupt: &'a [bool],
@@ -387,11 +385,6 @@ struct Running<'a, M: Message> {
     // `done` is only ever toggled inside `execute`, which keeps this
     // counter in sync (including done → not-done reversals).
     pending_correct: &'a mut usize,
-    // Advance-cause tallies accumulated locally and flushed into
-    // `metrics.advance` once after the loop, so per-round execution does
-    // not take the metrics lock just to bump a counter.
-    adv_quorum: &'a mut u64,
-    adv_timeout: &'a mut u64,
     backoff: &'a mut [u32],
     // Scheduled deadline of each process's next round (event mode's
     // local grid anchor; mirrors the live entry in `deadlines`).
@@ -410,8 +403,8 @@ impl<M: Message> Running<'_, M> {
         let status = self.procs[i].step(round, &mut self.transports[i], self.metrics);
         if status.executed && round >= 1 {
             match cause {
-                AdvanceCause::QuorumReached => *self.adv_quorum += 1,
-                AdvanceCause::TimeoutFired => *self.adv_timeout += 1,
+                AdvanceCause::QuorumReached => self.metrics.advance.quorum += 1,
+                AdvanceCause::TimeoutFired => self.metrics.advance.timeout += 1,
             }
         }
         if !sched.lockstep
@@ -517,14 +510,12 @@ pub fn run_des_cluster<M: Message>(
     let net = Rc::new(RefCell::new(DesNet::<M>::new(n, &config)));
     let mut transports: Vec<DesTransport<M>> =
         (0..n).map(|i| DesTransport { me: ProcessId(i as u32), net: net.clone() }).collect();
-    let metrics = Mutex::new(Metrics::default());
+    let mut metrics = Metrics::default();
     let mut procs: Vec<EngineProcess<M>> = actors
         .into_iter()
         .enumerate()
         .map(|(i, a)| {
-            let policy = config.link_policy.as_ref().map(|f| {
-                Box::new(LinkPolicySendAdapter(f(ProcessId(i as u32)))) as Box<dyn SendPolicy>
-            });
+            let policy = config.link_policy.as_ref().map(|f| f(ProcessId(i as u32)));
             EngineProcess::new(a, n, !corrupt[i], fates[i], rebuilder.clone(), policy)
         })
         .collect();
@@ -539,20 +530,16 @@ pub fn run_des_cluster<M: Message>(
         deadlines.push((u128::from(sched.skews[i]), i as u64, 0));
     }
     let mut pending_correct = corrupt.iter().filter(|c| !**c).count();
-    let mut adv_quorum = 0u64;
-    let mut adv_timeout = 0u64;
     let mut completed = false;
     let mut last_instant = 0u128;
     let mut run = Running {
         procs: &mut procs,
         transports: &mut transports,
-        metrics: &metrics,
+        metrics: &mut metrics,
         next_round: &mut next_round,
         done: &mut done,
         corrupt: &corrupt,
         pending_correct: &mut pending_correct,
-        adv_quorum: &mut adv_quorum,
-        adv_timeout: &mut adv_timeout,
         backoff: &mut backoff,
         sched_deadline: &mut sched_deadline,
         deadlines: &mut deadlines,
@@ -616,19 +603,13 @@ pub fn run_des_cluster<M: Message>(
         }
     }
     let _ = run;
-    {
-        let mut m = metrics.lock();
-        m.advance.quorum += adv_quorum;
-        m.advance.timeout += adv_timeout;
-    }
     if !completed && pending_correct == 0 {
         completed = true;
     }
 
     let rounds = next_round.iter().copied().max().unwrap_or(0);
     let actors_back: Vec<Box<dyn AnyActor<Msg = M>>> =
-        procs.into_iter().map(|p| p.finish(&metrics)).collect();
-    let mut metrics = metrics.into_inner();
+        procs.into_iter().map(|p| p.finish(&mut metrics)).collect();
     metrics.rounds = rounds;
     Ok(ClusterReport {
         metrics,

@@ -123,7 +123,7 @@ impl RoundDriverConfig {
     /// Backoff is the partial-synchrony half of the driver: whenever a
     /// round admits a delivery that already missed its intended round
     /// (`sent_round + 1 < round`, see
-    /// [`crate::process::LiveRoundOutcome::late_admitted`]), the
+    /// [`meba_sim::LiveRoundOutcome::late_admitted`]), the
     /// process's local timer has demonstrably outpaced the network —
     /// because the δ-estimate is too small, because quorum advancement
     /// drifted this process's schedule ahead of a peer's, or because

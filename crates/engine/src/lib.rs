@@ -3,14 +3,18 @@
 //! The workspace runs the same [`meba_sim::Actor`] state machines on four
 //! backends — the lockstep simulator (`meba-sim`), a threaded wall-clock
 //! cluster (`meba-net`), a real-TCP cluster (`meba-wire`), and this
-//! crate's deterministic discrete-event backend for large n. Three of
-//! those used to hand-roll the same per-process round loop; this crate is
-//! its single home:
+//! crate's deterministic discrete-event backend for large n. All four
+//! execute every round through one round body, [`run_live_round`], which
+//! lives in `meba-sim` (so the simulator can use it) and is re-exported
+//! here together with its [`Transport`], [`Delivery`] and [`RoundState`]
+//! types. This crate adds what the three non-lockstep backends share on
+//! top of it:
 //!
 //! * [`Transport`] — how bytes move: send / drain / sever / crash, with
 //!   backpressure surfaced for accounting. Implementations:
 //!   [`ChannelTransport`] (bounded crossbeam channels), `meba-wire`'s
-//!   TCP mesh, and the discrete-event queue in [`des`].
+//!   TCP mesh, the discrete-event queue in [`des`], and the simulator's
+//!   in-memory mailboxes.
 //! * [`Pacer`] — when rounds happen: [`DeadlinePacer`] (wall clock with
 //!   δ-escalation) and [`VirtualPacer`] (discrete-event virtual time);
 //!   the lockstep simulator's barrier is the degenerate third case.
@@ -19,10 +23,10 @@
 //!   partial synchrony where each process advances on a quorum of
 //!   prior-round senders or its local δ-estimate timer, whichever fires
 //!   first (see [`driver`]).
-//! * [`EngineProcess`] / [`run_live_round`] — the one per-process driver:
-//!   inbox partitioning by `sent_round`, word/byte/per-link accounting,
-//!   [`SendPolicy`] fault application, [`ProcessFate`] crash-restart
-//!   execution, and journal-replay rejoin.
+//! * [`EngineProcess`] — [`run_live_round`] (inbox partitioning by
+//!   `sent_round`, word/byte/per-link accounting,
+//!   [`meba_sim::faults::LinkPolicy`] fault application) wrapped in [`ProcessFate`] crash-restart execution and
+//!   journal-replay rejoin.
 //! * [`run_threaded_cluster`] — generic thread-per-process execution with
 //!   coordinator stop decisions, overrun monitoring, and δ-escalation
 //!   (the machinery behind `meba_net::run_cluster` and
@@ -49,7 +53,6 @@ pub mod driver;
 pub mod fate;
 pub mod pacer;
 pub mod process;
-pub mod transport;
 
 pub use calendar::{CalendarQueue, TimeKeyed};
 pub use channel::{channel_mesh, ChannelTransport};
@@ -64,9 +67,9 @@ pub use fate::{
     resolve_fate, resolve_fates, ActorRebuilder, ProcessFate, ProcessFateFactory, RebuiltActor,
     ResolvedFate,
 };
+pub use meba_sim::{run_live_round, Delivery, LiveRoundOutcome, RoundState, Transport};
 pub use pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer, Pacer, VirtualPacer};
-pub use process::{run_live_round, EngineProcess, LiveRoundOutcome, RoundState, StepStatus};
-pub use transport::{Delivery, LinkPolicySendAdapter, SendFate, SendPolicy, Transport};
+pub use process::{EngineProcess, StepStatus};
 
 #[cfg(test)]
 mod tests {

@@ -1,261 +1,13 @@
-//! The single per-process round driver: every backend executes protocol
-//! rounds through this module, so inbox partitioning, word/byte/link
-//! accounting, send-edge fault application, crash-restart fates, and
-//! journal-replay rejoin exist in exactly one place.
+//! [`EngineProcess`]: one process as the engine backends drive it — the
+//! shared round body ([`run_live_round`]) wrapped in crash-restart fate
+//! execution and journal-replay rejoin.
 
 use crate::fate::{ActorRebuilder, ResolvedFate};
-use crate::transport::{Delivery, SendFate, SendPolicy, Transport};
 use meba_crypto::ProcessId;
-use meba_sim::{AnyActor, Dest, Envelope, Message, Metrics, Round, RoundCtx};
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-
-/// Per-process round-loop state that persists across rounds: deliveries
-/// received early (for a later round) and fault-delayed outbound
-/// messages keyed by their transmit round.
-pub struct RoundState<M: Message> {
-    buffer: Vec<Delivery<M>>,
-    pending: BTreeMap<u64, Vec<(ProcessId, u64, M)>>,
-    // Scratch storage reused across rounds so the steady-state round
-    // body allocates nothing: this round's inbox, the kept-for-later
-    // deliveries, and the distinct-sender marks of `ready_senders`
-    // (generation-stamped so clearing is a counter bump).
-    inbox_scratch: Vec<Envelope<M>>,
-    keep_scratch: Vec<Delivery<M>>,
-    seen_gen: u64,
-    seen_mark: Vec<u64>,
-}
-
-impl<M: Message> RoundState<M> {
-    /// Empty state, as at process start (and after a crash).
-    pub fn new() -> Self {
-        RoundState {
-            buffer: Vec::new(),
-            pending: BTreeMap::new(),
-            inbox_scratch: Vec::new(),
-            keep_scratch: Vec::new(),
-            seen_gen: 0,
-            seen_mark: Vec::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.buffer.clear();
-        self.pending.clear();
-        self.inbox_scratch.clear();
-        self.keep_scratch.clear();
-    }
-
-    /// How many distinct senders (including `me` itself) have already
-    /// produced the information that makes `round` ready: deliveries
-    /// buffered with `sent_round + 1 ≥ round`, i.e. traffic from the
-    /// immediately preceding round or later. `me` always counts — a
-    /// process trivially holds its own prior-round state, whether or not
-    /// a self-delivery happens to sit in the buffer. This is the quorum
-    /// test of the event-driven
-    /// [`crate::RoundDriverConfig::QuorumOrTimeout`] driver — reaching
-    /// [`crate::default_quorum`] here means the process holds everything
-    /// quorum logic can use from round `round - 1`, so it may advance
-    /// early. Because `sent_round ≥ round` traffic also counts, the same
-    /// test doubles as *catch-up*: a process that fell behind (timeout
-    /// backoff, a long GC pause on a paced backend) and holds a quorum's
-    /// worth of later-round traffic fast-forwards instead of crawling
-    /// timer by timer.
-    ///
-    /// Drains the transport into the persistent buffer as a side effect;
-    /// nothing is admitted or discarded (admission stays inside
-    /// [`run_live_round`], so calling this never changes what a later
-    /// round execution observes — only *when* it runs).
-    pub fn ready_senders(
-        &mut self,
-        me: ProcessId,
-        round: u64,
-        transport: &mut dyn Transport<M>,
-    ) -> usize {
-        transport.drain(&mut self.buffer);
-        if self.buffer.is_empty() {
-            return 1; // `me` always counts
-        }
-        self.seen_gen += 1;
-        let gen = self.seen_gen;
-        self.mark(me, gen);
-        let mut count = 1usize;
-        for idx in 0..self.buffer.len() {
-            let d = &self.buffer[idx];
-            if d.sent_round + 1 >= round {
-                let from = d.from;
-                if self.mark(from, gen) {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
-    /// Stamps `p` with `gen`; true when `p` was not yet stamped.
-    fn mark(&mut self, p: ProcessId, gen: u64) -> bool {
-        let idx = p.index();
-        if idx >= self.seen_mark.len() {
-            self.seen_mark.resize(idx + 1, 0);
-        }
-        if self.seen_mark[idx] == gen {
-            false
-        } else {
-            self.seen_mark[idx] = gen;
-            true
-        }
-    }
-}
-
-impl<M: Message> Default for RoundState<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Executes one *live* round for `actor` over `transport`:
-///
-/// 1. transmit fault-delayed messages whose release round arrived (they
-///    keep their original `sent_round`, so the recipient sees them past
-///    the synchrony bound);
-/// 2. drain the transport and partition deliveries by
-///    `sent_round < round` into this round's inbox, recording per-link
-///    deliveries;
-/// 3. step the actor;
-/// 4. dispatch its outbox: self-delivery is process memory (no policy, no
-///    per-link stats, no word accounting); every remote copy is judged by
-///    `policy` and recorded (words, constituent sigs, bytes, per-link
-///    sent/dropped/delayed) whether or not it is ultimately transmitted.
-///
-/// Returns the round's [`LiveRoundOutcome`]: `actor.done()` after the
-/// step plus how many admitted deliveries had already missed their
-/// intended round. This function is the one implementation of the round
-/// body for every backend; `metrics` is locked briefly per accounting
-/// site, never across a (possibly blocking) transport send.
-#[allow(clippy::too_many_arguments)]
-pub fn run_live_round<M: Message>(
-    actor: &mut dyn AnyActor<Msg = M>,
-    transport: &mut dyn Transport<M>,
-    state: &mut RoundState<M>,
-    policy: &mut Option<Box<dyn SendPolicy>>,
-    round: u64,
-    n: usize,
-    sender_correct: bool,
-    metrics: &Mutex<Metrics>,
-) -> LiveRoundOutcome {
-    let me = actor.id();
-    let i = me.index();
-
-    if !state.pending.is_empty() {
-        if let Some(due) = state.pending.remove(&round) {
-            for (to, sent_round, msg) in due {
-                transport.send(to, sent_round, &msg);
-            }
-        }
-    }
-
-    transport.drain(&mut state.buffer);
-    let mut inbox = std::mem::take(&mut state.inbox_scratch);
-    let mut keep = std::mem::take(&mut state.keep_scratch);
-    inbox.clear();
-    keep.clear();
-    let mut late_admitted = 0u64;
-    if !state.buffer.is_empty() {
-        // Lock lazily: idle rounds (no remote deliveries) must not pay
-        // for the metrics mutex.
-        let mut guard = None;
-        for d in state.buffer.drain(..) {
-            if d.sent_round < round {
-                if d.from != me {
-                    let metrics = guard.get_or_insert_with(|| metrics.lock());
-                    metrics.link_mut(d.from, me).delivered += 1;
-                    // A round-`r` message belongs in round `r + 1`;
-                    // admission later than that means the local round
-                    // counter outpaced this link (mis-estimated δ,
-                    // schedule drift, a pre-GST delay, or a fault-
-                    // delayed send — indistinguishable locally).
-                    if d.sent_round + 1 < round {
-                        late_admitted += 1;
-                    }
-                }
-                inbox.push(Envelope { from: d.from, msg: d.msg });
-            } else {
-                keep.push(d);
-            }
-        }
-    }
-    // Keep both allocations alive: the drained buffer becomes the next
-    // round's keep scratch and vice versa.
-    std::mem::swap(&mut state.buffer, &mut keep);
-    state.keep_scratch = keep;
-
-    let mut ctx = RoundCtx::new(Round(round), me, n, &inbox);
-    actor.on_round(&mut ctx);
-    let outbox = ctx.take_outbox();
-    for (dest, msg) in outbox {
-        let words = msg.words().max(1);
-        let sigs = msg.constituent_sigs();
-        let bytes = msg.wire_bytes();
-        let component = msg.component();
-        let session = msg.session();
-        let targets = match dest {
-            Dest::To(p) if p.index() < n => p.index()..p.index() + 1,
-            Dest::To(_) => 0..0,
-            Dest::All => 0..n,
-        };
-        for target in targets {
-            if target == i {
-                // Self-delivery: process memory, not a link — no policy,
-                // no per-link stats, no word accounting.
-                transport.send(me, round, &msg);
-                continue;
-            }
-            let to = ProcessId(target as u32);
-            let fate = match policy {
-                Some(p) => p.fate(meba_sim::faults::Link { from: me, to }, round),
-                None => SendFate::Deliver,
-            };
-            {
-                let mut metrics = metrics.lock();
-                metrics.record(me, sender_correct, component, session, round, words, sigs, bytes);
-                let stats = metrics.link_mut(me, to);
-                stats.sent += 1;
-                stats.bytes += bytes;
-                match fate {
-                    SendFate::Deliver => {}
-                    SendFate::Drop | SendFate::Sever => stats.dropped += 1,
-                    SendFate::DelayRounds(_) => stats.delayed += 1,
-                }
-            }
-            match fate {
-                SendFate::Deliver => transport.send(to, round, &msg),
-                SendFate::Drop => {}
-                SendFate::DelayRounds(k) => {
-                    state.pending.entry(round + k).or_default().push((to, round, msg.clone()));
-                }
-                SendFate::Sever => transport.sever(to),
-            }
-        }
-    }
-    // Return the inbox's allocation for the next round (its envelopes
-    // were only borrowed by the actor through `RoundCtx`).
-    inbox.clear();
-    state.inbox_scratch = inbox;
-    LiveRoundOutcome { done: actor.done(), late_admitted }
-}
-
-/// What one [`run_live_round`] execution observed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LiveRoundOutcome {
-    /// `actor.done()` after the step.
-    pub done: bool,
-    /// Remote deliveries admitted this round that had already missed
-    /// their intended round (`sent_round + 1 < round`) — the local
-    /// evidence of a δ-estimate outpacing the network that the
-    /// event-driven backends feed into timeout backoff
-    /// ([`crate::RoundDriverConfig::backed_off_timeout_ns`]).
-    pub late_admitted: u64,
-}
+use meba_sim::faults::LinkPolicy;
+use meba_sim::{
+    run_live_round, AnyActor, Envelope, Message, Metrics, Round, RoundCtx, RoundState, Transport,
+};
 
 /// What one engine round did for one process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,24 +18,23 @@ pub struct StepStatus {
     pub executed: bool,
     /// `actor.done()` after the round (`false` while dead).
     pub done: bool,
-    /// [`LiveRoundOutcome::late_admitted`] of the executed round (0
-    /// while dead).
+    /// [`meba_sim::LiveRoundOutcome::late_admitted`] of the executed
+    /// round (0 while dead).
     pub late_admitted: u64,
 }
 
 /// One process as the engine drives it: the actor, its persistent round
 /// state, its send-edge policy, and its resolved crash-restart fate.
 /// Backends own the pacing and the stop decision; this type owns
-/// everything that happens *inside* a round, including the fate
-/// execution and journal-replay rejoin that PR 4 previously duplicated
-/// per runtime.
+/// everything that happens *inside* a round, including fate execution
+/// and journal-replay rejoin.
 pub struct EngineProcess<M: Message> {
     actor: Box<dyn AnyActor<Msg = M>>,
     n: usize,
     sender_correct: bool,
     fate: ResolvedFate,
     rebuilder: Option<ActorRebuilder<M>>,
-    policy: Option<Box<dyn SendPolicy>>,
+    policy: Option<Box<dyn LinkPolicy>>,
     state: RoundState<M>,
     dead: bool,
     rejoin_round: Option<u64>,
@@ -299,7 +50,7 @@ impl<M: Message> EngineProcess<M> {
         sender_correct: bool,
         fate: ResolvedFate,
         rebuilder: Option<ActorRebuilder<M>>,
-        policy: Option<Box<dyn SendPolicy>>,
+        policy: Option<Box<dyn LinkPolicy>>,
     ) -> Self {
         debug_assert!(
             !matches!(fate, ResolvedFate::Crash { rejoin_at: Some(_), .. }) || rebuilder.is_some(),
@@ -344,7 +95,7 @@ impl<M: Message> EngineProcess<M> {
         &mut self,
         round: u64,
         transport: &mut T,
-        metrics: &Mutex<Metrics>,
+        metrics: &mut Metrics,
     ) -> StepStatus {
         if let ResolvedFate::Crash { at_round, rejoin_at } = self.fate {
             if !self.dead && self.rejoin_round.is_none() && round == at_round {
@@ -354,7 +105,7 @@ impl<M: Message> EngineProcess<M> {
                 self.dead = true;
                 transport.crash();
                 self.state.clear();
-                metrics.lock().recovery.crash_restarts += 1;
+                metrics.recovery.crash_restarts += 1;
             }
             if self.dead && rejoin_at.is_some_and(|rj| round >= rj) {
                 // Restart: rebuild from the durable journal, then
@@ -366,11 +117,8 @@ impl<M: Message> EngineProcess<M> {
                     self.rebuilder.as_ref().expect("rejoin_at is only resolved with a rebuilder");
                 let rb = rebuild(self.actor.id());
                 self.actor = rb.actor;
-                {
-                    let mut m = metrics.lock();
-                    m.recovery.replayed_records += rb.replayed_records;
-                    m.recovery.journal_fsyncs += rb.journal_fsyncs;
-                }
+                metrics.recovery.replayed_records += rb.replayed_records;
+                metrics.recovery.journal_fsyncs += rb.journal_fsyncs;
                 let empty: Vec<Envelope<M>> = Vec::new();
                 for r in 0..round {
                     let mut ctx = RoundCtx::new(Round(r), self.actor.id(), self.n, &empty);
@@ -385,8 +133,7 @@ impl<M: Message> EngineProcess<M> {
         if self.dead {
             // Down: discard all inbound traffic, send nothing. The
             // backend keeps pacing rounds so live peers advance.
-            transport.drain(&mut self.state.buffer);
-            self.state.buffer.clear();
+            self.state.discard_inbound(transport);
             return StepStatus { executed: false, done: false, late_admitted: 0 };
         }
 
@@ -404,7 +151,7 @@ impl<M: Message> EngineProcess<M> {
             // Recovery latency: rounds from rejoin until this process is
             // done.
             if let Some(rj) = self.rejoin_round.take() {
-                metrics.lock().recovery.recovery_rounds += round - rj;
+                metrics.recovery.recovery_rounds += round - rj;
             }
         }
         StepStatus { executed: true, done: outcome.done, late_admitted: outcome.late_admitted }
@@ -412,11 +159,8 @@ impl<M: Message> EngineProcess<M> {
 
     /// Ends the run for this process: harvests its equivocation-refusal
     /// counter into `metrics` and returns the actor for inspection.
-    pub fn finish(self, metrics: &Mutex<Metrics>) -> Box<dyn AnyActor<Msg = M>> {
-        let refused = self.actor.refused_equivocations();
-        if refused > 0 {
-            metrics.lock().recovery.refused_equivocations += refused;
-        }
+    pub fn finish(self, metrics: &mut Metrics) -> Box<dyn AnyActor<Msg = M>> {
+        metrics.recovery.refused_equivocations += self.actor.refused_equivocations();
         self.actor
     }
 }

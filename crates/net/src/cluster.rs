@@ -45,7 +45,7 @@
 //! recorded verdict rather than a racy post-join recomputation.
 
 use meba_crypto::ProcessId;
-use meba_engine::{channel_mesh, LinkPolicySendAdapter, SendPolicy};
+use meba_engine::channel_mesh;
 use meba_sim::{AnyActor, Message};
 
 pub use meba_engine::{
@@ -88,13 +88,8 @@ pub fn run_cluster_with_recovery<M: Message>(
     let n = actors.len();
     assert!(n > 0, "cluster needs at least one actor");
     let transports = channel_mesh::<M>(n, config.channel_capacity);
-    let policies: Vec<Option<Box<dyn SendPolicy>>> = (0..n)
-        .map(|i| {
-            config.link_policy.as_ref().map(|f| {
-                Box::new(LinkPolicySendAdapter(f(ProcessId(i as u32)))) as Box<dyn SendPolicy>
-            })
-        })
-        .collect();
+    let policies =
+        (0..n).map(|i| config.link_policy.as_ref().map(|f| f(ProcessId(i as u32)))).collect();
     meba_engine::run_threaded_cluster(actors, transports, policies, rebuilder, &config)
 }
 

@@ -1,17 +1,14 @@
 //! Link-fault injection policies.
 //!
 //! A [`LinkPolicy`] decides, per directed link and per round, whether a
-//! message is delivered on time, dropped, or delayed by `k` rounds — the
-//! network-level faults of the model (message loss, late delivery past
-//! `δ`, reordering across round boundaries, and transient partitions).
-//! The same trait drives both runtimes:
-//!
-//! * the **lockstep simulator** ([`crate::SimBuilder::link_policy`]) — a
-//!   run is a pure function of the seed, so lossy-link tests reproduce
-//!   exactly;
-//! * the **threaded cluster** (`meba-net`) — each sender thread owns a
-//!   policy instance for its outbound links, and the same seed yields the
-//!   same fate for the same `(link, round, nth message)` triple.
+//! message is delivered on time, dropped, delayed by `k` rounds, or lost
+//! together with its connection — the network-level faults of the model
+//! (message loss, late delivery past `δ`, reordering across round
+//! boundaries, transient partitions, and connection resets). It is the
+//! one send-edge fault vocabulary: [`crate::run_live_round`] consults it
+//! on every backend that takes a `link_policy` (discrete-event, threaded
+//! and TCP), where each sender owns one policy instance for its outbound
+//! links.
 //!
 //! Determinism: stock policies never consult ambient randomness. Every
 //! decision is a pure function of `(seed, from, to, round, seq)` where
@@ -63,6 +60,10 @@ pub enum LinkFate {
     /// later traffic overtakes it, a positive delay also *reorders*
     /// deliveries relative to send order.
     DelayRounds(u64),
+    /// Lost *and* the connection is torn down ([`crate::Transport::sever`]):
+    /// over TCP the link re-dials and re-handshakes, exercising the
+    /// reconnect path; in-memory backends count it as a plain drop.
+    Sever,
 }
 
 /// A per-link fault schedule.
@@ -266,8 +267,9 @@ impl LinkPolicy for OneShotPartition {
     }
 }
 
-/// Composes policies: the message is dropped if **any** layer drops it,
-/// and otherwise delayed by the **sum** of the layers' delays.
+/// Composes policies: the message is lost if **any** layer drops or
+/// severs it (the first such layer's fate wins), and otherwise delayed by
+/// the **sum** of the layers' delays.
 #[derive(Default)]
 pub struct PolicyStack {
     layers: Vec<Box<dyn LinkPolicy>>,
@@ -298,7 +300,7 @@ impl LinkPolicy for PolicyStack {
         for layer in &mut self.layers {
             match layer.fate(link, round) {
                 LinkFate::Deliver => {}
-                LinkFate::Drop => return LinkFate::Drop,
+                lost @ (LinkFate::Drop | LinkFate::Sever) => return lost,
                 LinkFate::DelayRounds(k) => delay += k,
             }
         }

@@ -1,10 +1,18 @@
-//! Deterministic lockstep synchronous network simulator.
+//! Deterministic lockstep synchronous network simulator, and the one
+//! round body every backend shares.
 //!
 //! Models the paper's network (§2): a static set `Π` of `n` processes,
 //! reliable authenticated point-to-point links, and a known delay bound
 //! `δ`, normalized to one round. Protocols are [`Actor`] state machines;
 //! Byzantine behaviour is just another `Actor` implementation (see
-//! `meba-adversary`), optionally scheduled with *rushing* delivery.
+//! `meba-adversary`), scheduled with *rushing* delivery.
+//!
+//! [`run_live_round`] executes one round of one process over a
+//! [`Transport`]: the lockstep [`Simulation`] drives it over in-memory
+//! mailboxes, and `meba-engine` drives the same function over its
+//! discrete-event queue, channels and TCP sockets — so every backend
+//! accounts words, bytes and per-link stats in the same place, and
+//! applies [`LinkPolicy`] faults the same way.
 //!
 //! Communication complexity is accounted exactly as the paper defines it:
 //! words sent by correct processes ([`Metrics::correct_words`]), with
@@ -48,6 +56,7 @@
 
 pub mod actor;
 pub mod faults;
+pub mod live;
 pub mod metrics;
 pub mod round;
 pub mod runner;
@@ -59,6 +68,7 @@ pub use faults::{
     BernoulliDrop, Link, LinkFate, LinkPolicy, OneShotPartition, PolicyStack, RandomDelay,
     ReliableLinks,
 };
+pub use live::{run_live_round, Delivery, LiveRoundOutcome, RoundState, Transport};
 pub use metrics::{
     ClientStats, Counters, LatencyHistogram, LinkStats, Metrics, RecoveryStats, ServiceStats,
     SessionStats,

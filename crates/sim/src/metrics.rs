@@ -138,6 +138,17 @@ pub struct LinkStats {
 
 serde::impl_serde_struct!(LinkStats { sent, delivered, dropped, delayed, bytes });
 
+impl LinkStats {
+    /// Component-wise sum.
+    pub fn merge(&mut self, other: &LinkStats) {
+        self.sent += other.sent;
+        self.delivered += other.delivered;
+        self.dropped += other.dropped;
+        self.delayed += other.delayed;
+        self.bytes += other.bytes;
+    }
+}
+
 /// A bundle of communication counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -202,6 +213,13 @@ impl SessionStats {
         self.first_round = self.first_round.min(round);
         self.last_round = self.last_round.max(round);
         self.counters.record(words, sigs, bytes);
+    }
+
+    /// Combines two recorded spans: summed counters, widened rounds.
+    fn merge(&mut self, other: &SessionStats) {
+        self.first_round = self.first_round.min(other.first_round);
+        self.last_round = self.last_round.max(other.last_round);
+        self.counters.merge(&other.counters);
     }
 }
 
@@ -512,6 +530,37 @@ impl Metrics {
         }
     }
 
+    /// Folds `other` into `self`, for backends whose processes each record
+    /// into their own shard: recording a stream of messages into shards
+    /// and merging them yields the same metrics as recording the whole
+    /// stream into one [`Metrics`]. `rounds` takes the maximum.
+    pub fn merge(&mut self, other: &Metrics) {
+        self.correct.merge(&other.correct);
+        self.byzantine.merge(&other.byzantine);
+        for (component, c) in &other.by_component {
+            self.by_component.entry(component.clone()).or_default().merge(c);
+        }
+        if self.words_per_round.len() < other.words_per_round.len() {
+            self.words_per_round.resize(other.words_per_round.len(), 0);
+        }
+        for (mine, theirs) in self.words_per_round.iter_mut().zip(&other.words_per_round) {
+            *mine += theirs;
+        }
+        for (p, c) in &other.per_process {
+            self.per_process.entry(*p).or_default().merge(c);
+        }
+        self.rounds = self.rounds.max(other.rounds);
+        self.round_latency.merge(&other.round_latency);
+        for (link, l) in &other.per_link {
+            self.per_link.entry(link.clone()).or_default().merge(l);
+        }
+        for (session, st) in &other.per_session {
+            self.per_session.entry(*session).and_modify(|mine| mine.merge(st)).or_insert(*st);
+        }
+        self.recovery.merge(&other.recovery);
+        self.advance.merge(&other.advance);
+    }
+
     /// Words sent by correct processes — the paper's headline metric.
     pub fn correct_words(&self) -> u64 {
         self.correct.words
@@ -697,6 +746,47 @@ mod tests {
 #[cfg(test)]
 mod serde_tests {
     use super::*;
+
+    /// (sender, correct, component, session, round, words, sigs, bytes)
+    type Sent = (u32, bool, &'static str, Option<u64>, u64, u64, u64, u64);
+
+    /// Records one sent copy the way the backends do: the message, its
+    /// link, and the per-round counters.
+    fn record_sent(m: &mut Metrics, &(p, correct, comp, session, round, w, s, b): &Sent) {
+        m.record(ProcessId(p), correct, comp, session, round, w, s, b);
+        let to = ProcessId((p + 1) % 3);
+        let l = m.link_mut(ProcessId(p), to);
+        l.sent += 1;
+        l.bytes += b;
+        m.link_mut(to, ProcessId(p)).delivered += 1;
+        m.round_latency.record_us(w * 100);
+        m.advance.quorum += 1;
+        m.recovery.replayed_records += s;
+        m.rounds = m.rounds.max(round + 1);
+    }
+
+    #[test]
+    fn sharded_recording_merges_to_the_single_recording() {
+        let stream: [Sent; 6] = [
+            (0, true, "bb", Some(3), 0, 3, 2, 96),
+            (1, false, "bb", Some(3), 0, 9, 1, 40),
+            (2, true, "weak-ba", None, 4, 2, 1, 64),
+            (1, false, "fallback", Some(7), 2, 5, 0, 8),
+            (0, true, "weak-ba", Some(3), 6, 1, 0, 32),
+            (2, true, "bb", Some(7), 1, 4, 3, 128),
+        ];
+        let mut single = Metrics::default();
+        stream.iter().for_each(|e| record_sent(&mut single, e));
+        // One shard per sender, as the threaded backend keeps them.
+        let mut merged = Metrics::default();
+        for p in 0..3 {
+            let mut shard = Metrics::default();
+            stream.iter().filter(|e| e.0 == p).for_each(|e| record_sent(&mut shard, e));
+            merged.merge(&shard);
+        }
+        let json = |m: &Metrics| serde_json::to_string(m).unwrap();
+        assert_eq!(json(&merged), json(&single));
+    }
 
     #[test]
     fn metrics_roundtrip_through_json() {

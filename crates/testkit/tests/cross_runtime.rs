@@ -9,6 +9,12 @@
 //! cluster, or real TCP sockets must not change what the protocol
 //! decides or how many words correct processes pay.
 //!
+//! Since the lockstep simulator also runs every round through
+//! `meba_sim::run_live_round`, the lockstep and discrete-event backends
+//! share one accounting path: their serialized metrics are byte-identical,
+//! apart from the round-advance causes only the discrete-event backend
+//! records.
+//!
 //! The lockstep simulator's rushing adversary (corrupt actors observing
 //! a round's traffic early) is the one scheduling feature the other
 //! backends do not model, so fault matrices here are restricted to
@@ -17,6 +23,7 @@
 use meba_core::Decision;
 use meba_crypto::ProcessId;
 use meba_net::{run_cluster, ClusterConfig};
+use meba_sim::Metrics;
 use meba_testkit::{
     assert_agreement, bb_actors, bb_decisions, bb_des, bb_des_timed, bb_report_decisions, bb_sim,
     corrupt_ids, round_budget, strong_ba_decisions, strong_ba_des, strong_ba_report_decisions,
@@ -25,6 +32,14 @@ use meba_testkit::{
 };
 use proptest::prelude::*;
 use std::time::Duration;
+
+/// Serialized metrics without the advance causes, which only the
+/// discrete-event backend records.
+fn metrics_json(m: &Metrics) -> String {
+    let mut m = m.clone();
+    m.advance = Default::default();
+    serde_json::to_string(&m).expect("metrics serialize")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
@@ -59,6 +74,11 @@ proptest! {
             "correct word totals diverge across backends"
         );
         prop_assert_eq!(sim.metrics().rounds, report.rounds, "round counts diverge");
+        prop_assert_eq!(
+            metrics_json(sim.metrics()),
+            metrics_json(&report.metrics),
+            "serialized metrics diverge across backends"
+        );
     }
 
     // Weak BA under silent (scheduling-independent) faults: decisions,
@@ -90,6 +110,11 @@ proptest! {
             "correct word totals diverge across backends"
         );
         prop_assert_eq!(sim.metrics().rounds, report.rounds, "round counts diverge");
+        prop_assert_eq!(
+            metrics_json(sim.metrics()),
+            metrics_json(&report.metrics),
+            "serialized metrics diverge across backends"
+        );
     }
 
     // The event-driven refactor's compatibility contract: driving the

@@ -18,27 +18,23 @@
 //! machinery that drives the channel runtime, so a scenario's timing and
 //! fate behaviour do not change when it moves to sockets.
 //!
-//! Fault injection happens at the socket edge: a [`SocketPolicy`]
-//! (or any [`meba_sim::faults::LinkPolicy`] via
-//! [`ClusterConfig::link_policy`]) judges every outbound frame, and the
-//! TCP-specific [`SocketFate::Sever`] additionally tears the connection
-//! down so the reconnect path is exercised under test.
+//! Fault injection happens at the socket edge: the
+//! [`meba_sim::faults::LinkPolicy`] from [`ClusterConfig::link_policy`]
+//! judges every outbound frame, and [`meba_sim::faults::LinkFate::Sever`]
+//! additionally tears the connection down so the reconnect path is
+//! exercised under test.
 
 use crate::handshake::{config_digest, Hello, PROTOCOL_VERSION};
 use crate::mesh::{Inbound, MeshConfig, MeshStats, TcpMesh};
-#[allow(unused_imports)] // doc links
-use crate::proxy::{SocketFate, SocketPolicy};
-use crate::proxy::{SocketPolicyFactory, SocketSendAdapter};
 use crate::WireError;
 use meba_core::SystemConfig;
 use meba_crypto::{ProcessId, WireCodec};
 use meba_engine::{
-    run_live_round, update_backoff_shift, DeadlinePacer, Delivery, LinkPolicySendAdapter, Pacer,
-    RoundDriverConfig, RoundState, SendPolicy, Transport, MAX_BACKOFF_SHIFT,
+    run_live_round, update_backoff_shift, DeadlinePacer, Delivery, Pacer, RoundDriverConfig,
+    RoundState, Transport, MAX_BACKOFF_SHIFT,
 };
 use meba_net::{ActorRebuilder, ClusterConfig, ClusterReport};
 use meba_sim::{AnyActor, Message, Metrics};
-use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -51,10 +47,6 @@ pub struct TcpClusterConfig {
     /// link policy, channel capacity, overrun policy) — the same struct
     /// [`meba_net::run_cluster`] takes, so scenarios port unchanged.
     pub cluster: ClusterConfig,
-    /// Socket-edge fault injection. Takes precedence over
-    /// `cluster.link_policy` when both are set; use this for the
-    /// TCP-only [`SocketFate::Sever`].
-    pub socket_policy: Option<SocketPolicyFactory>,
     /// Session domain stamped into every handshake. Two clusters with
     /// different domains refuse to link even on the same ports.
     pub domain: u64,
@@ -66,7 +58,6 @@ impl Default for TcpClusterConfig {
     fn default() -> Self {
         TcpClusterConfig {
             cluster: ClusterConfig::default(),
-            socket_policy: None,
             domain: 1,
             dial_timeout: Duration::from_secs(10),
         }
@@ -276,17 +267,8 @@ pub fn run_tcp_cluster_with_recovery<M: Message + WireCodec>(
     // Keep a handle on every mesh's socket counters: the transports are
     // consumed (and shut down) by the engine, but the Arcs survive.
     let mesh_stats: Vec<Arc<MeshStats>> = meshes.iter().map(|m| m.stats().clone()).collect();
-    let policies: Vec<Option<Box<dyn SendPolicy>>> = (0..n)
-        .map(|i| {
-            let me = ProcessId(i as u32);
-            match (&config.socket_policy, &config.cluster.link_policy) {
-                (Some(f), _) => Some(Box::new(SocketSendAdapter(f(me))) as Box<dyn SendPolicy>),
-                (None, Some(f)) => {
-                    Some(Box::new(LinkPolicySendAdapter(f(me))) as Box<dyn SendPolicy>)
-                }
-                (None, None) => None,
-            }
-        })
+    let policies = (0..n)
+        .map(|i| config.cluster.link_policy.as_ref().map(|f| f(ProcessId(i as u32))))
         .collect();
     let transports: Vec<MeshTransport<M>> = meshes.into_iter().map(MeshTransport::new).collect();
 
@@ -397,10 +379,9 @@ pub fn drive_mesh<M: Message + WireCodec>(
     cfg: &MeshDriveConfig,
 ) -> (u64, Metrics) {
     let n = mesh.n();
-    let metrics = Mutex::new(Metrics::default());
+    let mut metrics = Metrics::default();
     let mut transport = BorrowedMesh { mesh, scratch: Vec::new() };
     let mut state = RoundState::new();
-    let mut policy: Option<Box<dyn SendPolicy>> = None;
     let pacer = DeadlinePacer::new(Instant::now(), cfg.delta);
     let quorum = cfg.driver.effective_quorum(n);
     let mut sched_deadline = Instant::now();
@@ -439,21 +420,20 @@ pub fn drive_mesh<M: Message + WireCodec>(
             }
         };
         if round >= 1 {
-            let mut m = metrics.lock();
             match quorum_ready {
-                true => m.advance.quorum += 1,
-                false => m.advance.timeout += 1,
+                true => metrics.advance.quorum += 1,
+                false => metrics.advance.timeout += 1,
             }
         }
         let outcome = run_live_round(
             actor,
             &mut transport,
             &mut state,
-            &mut policy,
+            &mut None,
             round,
             n,
             true,
-            &metrics,
+            &mut metrics,
         );
         if !cfg.driver.is_lockstep() {
             // Late traffic: the local δ-estimate outpaced the network —
@@ -474,7 +454,6 @@ pub fn drive_mesh<M: Message + WireCodec>(
             linger = cfg.linger_rounds;
         }
     }
-    let mut metrics = metrics.into_inner();
     metrics.rounds = round;
     (round, metrics)
 }

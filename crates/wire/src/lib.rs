@@ -19,8 +19,8 @@
 //! * [`cluster`] — [`run_tcp_cluster`], mirroring
 //!   [`meba_net::run_cluster`]'s configuration and report so any
 //!   scenario moves from channels to loopback TCP unchanged;
-//! * [`proxy`] — socket-edge fault injection ([`SocketFate::Sever`]
-//!   exercises reconnect, the rest mirror [`meba_sim::faults::LinkFate`]);
+//! * [`proxy`] — socket-edge fault injection: [`SeverAt`] schedules a
+//!   [`meba_sim::faults::LinkFate::Sever`], which exercises reconnect;
 //! * [`budget`] — the [`budget::BYTES_PER_WORD`] constant tying the
 //!   canonical codec's byte costs back to the paper's word costs.
 //!
@@ -54,7 +54,5 @@ pub use handshake::{config_digest, Hello, PROTOCOL_VERSION};
 pub use mesh::{Inbound, MeshConfig, MeshSnapshot, MeshStats, TcpMesh};
 pub use poller::raise_nofile_limit;
 pub use pool::BufPool;
-pub use proxy::{
-    adapt_link_policy, SeverAt, SocketFate, SocketPolicy, SocketPolicyFactory, SocketSendAdapter,
-};
+pub use proxy::SeverAt;
 pub use reactor::{dial_jitter, reconnect_delay};

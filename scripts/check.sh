@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "== build =="
 cargo build --workspace --all-targets --locked
 
+echo "== repo benchmark build (perfbench/, its own package) =="
+cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (incl. perf lints: redundant_clone, needless_collect) =="
 cargo clippy --workspace --all-targets --locked -- \
   -D warnings -D clippy::perf \

@@ -337,9 +337,7 @@ fn partitioned_slow_cluster_aborts_with_diagnostic() {
 // surface, so the assertions port almost verbatim.
 // ---------------------------------------------------------------------
 
-use meba::wire::{
-    run_tcp_cluster, SocketFate, SocketPolicy, SocketPolicyFactory, TcpClusterConfig,
-};
+use meba::wire::{run_tcp_cluster, TcpClusterConfig};
 
 fn tcp_config(corrupt: Vec<ProcessId>) -> TcpClusterConfig {
     TcpClusterConfig {
@@ -404,7 +402,7 @@ fn weak_ba_over_tcp_decides_under_socket_faults() {
     // reconnect), p4's frames are all dropped at the socket edge. The
     // three processes on healthy links must still decide.
     let n = 5usize;
-    let factory: SocketPolicyFactory = Arc::new(|me: ProcessId| -> Box<dyn SocketPolicy> {
+    let factory: LinkPolicyFactory = Arc::new(|me: ProcessId| -> Box<dyn LinkPolicy> {
         match me.0 {
             3 => {
                 // Sever the first frame bound for p0 (forcing a re-dial
@@ -414,18 +412,19 @@ fn weak_ba_over_tcp_decides_under_socket_faults() {
                 Box::new(move |l: Link, r: u64| {
                     if !severed && l.to == ProcessId(0) {
                         severed = true;
-                        SocketFate::Sever
+                        LinkFate::Sever
                     } else {
-                        delay.fate(l, r).into()
+                        delay.fate(l, r)
                     }
                 })
             }
-            4 => Box::new(|_l: Link, _r: u64| SocketFate::Drop),
-            _ => Box::new(|_l: Link, _r: u64| SocketFate::Forward),
+            4 => Box::new(|_l: Link, _r: u64| LinkFate::Drop),
+            _ => Box::new(|_l: Link, _r: u64| LinkFate::Deliver),
         }
     });
     let corrupt = vec![ProcessId(3), ProcessId(4)];
-    let config = TcpClusterConfig { socket_policy: Some(factory), ..tcp_config(corrupt.clone()) };
+    let mut config = tcp_config(corrupt.clone());
+    config.cluster.link_policy = Some(factory);
     let tcp = run_tcp_cluster(weak_ba_actors(n, 7), &SystemConfig::new(n, 0x3a).unwrap(), config)
         .unwrap();
     let report = &tcp.report;
